@@ -38,11 +38,6 @@ pub struct SapParams {
     /// A too-small cap never corrupts the answer: a non-optimal LP routes
     /// the small arm to the greedy baseline (see [`crate::small`]).
     pub lp_max_iters: usize,
-    /// Eta-file refactorization cadence for the Strip-Pack LP solves
-    /// (`0` = the solver default). Any cadence yields the same solutions;
-    /// the knob trades eta-replay time against refactorization time and
-    /// exists for the LP scaling experiments.
-    pub lp_refactor_every: usize,
     /// Intra-arm fan-out width for the small arm's per-stratum LP solves
     /// and the medium arm's per-class Elevator sweeps (`0` = auto,
     /// `1` = sequential). Any width produces byte-identical solutions,
@@ -58,20 +53,16 @@ impl Default for SapParams {
             small_algo: SmallAlgo::LpRounding,
             medium: MediumParams::default(),
             lp_max_iters: 0,
-            lp_refactor_every: 0,
             workers: 0,
         }
     }
 }
 
 impl SapParams {
-    /// The simplex options the small arm's LP solves run under.
+    /// The simplex options the small arm's LP solves run under (the
+    /// solver's default refactorization cadence).
     pub fn lp_options(&self) -> SimplexOptions {
-        SimplexOptions {
-            max_pivots: self.lp_max_iters,
-            refactor_every: self.lp_refactor_every,
-            ..SimplexOptions::default()
-        }
+        SimplexOptions { max_pivots: self.lp_max_iters, ..SimplexOptions::default() }
     }
 }
 

@@ -24,18 +24,20 @@ use sap_core::budget::{Budget, CheckpointClass};
 use sap_core::error::SapResult;
 use sap_core::{Instance, Placement, SapSolution, TaskId};
 
+/// Maximum number of distinct candidate heights (subset sums); past it
+/// the DP gives up (`Ok(None)`), like an exhausted state budget.
+const MAX_HEIGHTS: usize = 4096;
+
 /// Budget for the number of DP states (across all edges).
 #[derive(Debug, Clone, Copy)]
 pub struct Lemma13Config {
     /// Maximum number of states stored over the whole sweep.
     pub max_states: usize,
-    /// Maximum number of distinct candidate heights (subset sums).
-    pub max_heights: usize,
 }
 
 impl Default for Lemma13Config {
     fn default() -> Self {
-        Lemma13Config { max_states: 2_000_000, max_heights: 4096 }
+        Lemma13Config { max_states: 2_000_000 }
     }
 }
 
@@ -101,7 +103,7 @@ fn run_lemma13(
                     sums.push(v);
                 }
             }
-            if sums.len() > config.max_heights {
+            if sums.len() > MAX_HEIGHTS {
                 return Ok(None);
             }
         }
@@ -340,7 +342,7 @@ mod tests {
             .is_empty());
         // A tiny state budget must be reported as exhaustion, not wrong
         // answers.
-        let tight = Lemma13Config { max_states: 1, max_heights: 4096 };
+        let tight = Lemma13Config { max_states: 1 };
         let r = solve_lemma13_dp(&inst, &inst.all_ids(), tight);
         assert!(r.is_none() || r.unwrap().validate(&inst).is_ok());
     }

@@ -37,7 +37,7 @@ pub use driver::{try_solve, try_solve_practical};
 pub use exact::{is_sap_feasible, solve_exact_sap, solve_exact_sap_budgeted, ExactConfig};
 pub use large::{solve_large, try_solve_large};
 pub use lemma13::{solve_lemma13_dp, solve_lemma13_dp_budgeted, Lemma13Config};
-pub use medium::{solve_medium, try_solve_medium_with_stats, ElevatorSolver, MediumParams};
+pub use medium::{solve_medium, try_solve_medium_with_stats, MediumParams};
 pub use portfolio::{solve_batch, sweep_params, Portfolio};
 pub use ring::{solve_ring, RingParams};
 pub use sapu::solve_sapu_exact_dp;

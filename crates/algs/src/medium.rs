@@ -37,17 +37,6 @@ use sap_core::{
 
 use crate::baselines::greedy_sap_best;
 use crate::exact::{solve_exact_sap_budgeted, ExactConfig};
-use crate::lemma13::{solve_lemma13_dp_budgeted, Lemma13Config};
-
-/// Which optimal sub-solver Elevator uses per class (both are exact; they
-/// cross-validate each other in the test-suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElevatorSolver {
-    /// The state-space search of [`crate::exact`] (default; fastest).
-    Search,
-    /// The paper's Lemma 13 proper-pair DP ([`crate::lemma13`]).
-    Lemma13Dp,
-}
 
 /// Parameters of the medium-task algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +52,6 @@ pub struct MediumParams {
     /// Per-class task-count cap beyond which the greedy fallback is used
     /// (the exact search is limited to 64 tasks).
     pub max_class_size: usize,
-    /// Which exact sub-solver Elevator runs per class.
-    pub solver: ElevatorSolver,
 }
 
 impl Default for MediumParams {
@@ -77,7 +64,6 @@ impl Default for MediumParams {
             // `MediumStats::exact_classes`).
             exact: ExactConfig { max_states: 400_000 },
             max_class_size: 28,
-            solver: ElevatorSolver::Search,
         }
     }
 }
@@ -272,18 +258,7 @@ fn elevator(
     };
     let sub_ids = sub.all_ids();
     let (opt, was_exact) = if sub_ids.len() <= params.max_class_size.min(64) {
-        let solved = match params.solver {
-            ElevatorSolver::Search => {
-                solve_exact_sap_budgeted(&sub, &sub_ids, params.exact, budget)?
-            }
-            ElevatorSolver::Lemma13Dp => solve_lemma13_dp_budgeted(
-                &sub,
-                &sub_ids,
-                Lemma13Config { max_states: params.exact.max_states, max_heights: 4096 },
-                budget,
-            )?,
-        };
-        match solved {
+        match solve_exact_sap_budgeted(&sub, &sub_ids, params.exact, budget)? {
             Some(s) => (s, true),
             None => (greedy_sap_best(&sub, &sub_ids), false),
         }
@@ -380,30 +355,33 @@ mod tests {
     }
 
     #[test]
-    fn both_elevator_solvers_satisfy_the_bound() {
-        // Both sub-solvers are exact in *weight* per class, but different
-        // optimal *height assignments* split differently under Lemma 14,
-        // so the framework outputs may differ — each must stay within the
-        // Theorem-2 bound (ℓ=4, q=2 ⇒ 3) of the true optimum.
-        use crate::exact::{solve_exact_sap, ExactConfig};
+    fn lemma13_dp_matches_the_search_on_every_elevator_class() {
+        // Elevator solves each class with the exact search; the paper's
+        // Lemma 13 DP must find the same optimum weight on the very
+        // sub-instances the arm builds (scale → classes → band clip).
+        use crate::lemma13::{solve_lemma13_dp, Lemma13Config};
+        let params = MediumParams::default();
+        let (q, ell) = (params.q, params.ell);
+        let mut compared = 0;
         for seed in 0..2 {
             let inst = medium_instance(seed + 40, 4, 9);
-            let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
-                .expect("budget")
-                .weight(&inst);
-            for solver in [ElevatorSolver::Search, ElevatorSolver::Lemma13Dp] {
-                let sol = solve_medium(
-                    &inst,
-                    &ids,
-                    MediumParams { solver, ..Default::default() },
-                );
-                sol.validate(&inst).unwrap();
-                let w = sol.weight(&inst);
-                assert!(w <= opt);
-                assert!(3 * w >= opt, "seed {seed} {solver:?}: {w} vs opt {opt}");
+            let scaled = scale_instance(&inst, 1 << (q + ell)).expect("small values scale");
+            for (k, members) in classes_k_ell(&scaled, &scaled.all_ids(), ell) {
+                let Ok((sub, _)) = clip_to_band(&scaled, &members, 1 << k, 1 << (k + ell)) else {
+                    continue;
+                };
+                let ids = sub.all_ids();
+                if ids.len() > params.max_class_size {
+                    continue;
+                }
+                let search = solve_exact_sap(&sub, &ids, params.exact).expect("search budget");
+                let dp = solve_lemma13_dp(&sub, &ids, Lemma13Config::default()).expect("dp budget");
+                dp.validate(&sub).unwrap();
+                assert_eq!(dp.weight(&sub), search.weight(&sub), "seed {seed} class {k}");
+                compared += 1;
             }
         }
+        assert!(compared > 0, "no class reached the exact sub-solver");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Exact dynamic program for SAP-U with small integer capacity
-//! (Chen, Hassin & Tzur [18], §1.1 of the paper).
+//! (Chen, Hassin & Tzur \[18\], §1.1 of the paper).
 //!
 //! For uniform capacity `K` and integer demands in `{1, …, K}`, SAP is
 //! solvable exactly in `O(n·(nK)^K)` time: sweep the edges left to right

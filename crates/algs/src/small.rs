@@ -82,7 +82,7 @@ pub fn solve_small(instance: &Instance, ids: &[TaskId], algo: SmallAlgo) -> SapS
 /// If any stratum's LP is non-optimal (pivot limit or injected fault) the
 /// **entire arm** falls back to the greedy baseline over `ids` — packing
 /// one stratum greedily would violate the strip discipline that
-/// [`sap_core::stack`] relies on — and the run is flagged `lp_degraded`.
+/// [`sap_core::stack()`] relies on — and the run is flagged `lp_degraded`.
 pub fn try_solve_small(
     instance: &Instance,
     ids: &[TaskId],

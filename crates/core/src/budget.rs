@@ -19,7 +19,7 @@
 //! per-arm outcomes, fired fallbacks and budget consumption. It contains
 //! no timing fields, so reports from deterministic runs are byte-identical.
 //!
-//! With the `fault-injection` cargo feature enabled, a [`FaultPlan`] can be
+//! With the `fault-injection` cargo feature enabled, a `FaultPlan` can be
 //! attached to a budget to deterministically fail the Nth LP solve, panic
 //! the Nth portfolio worker, or exhaust the budget at the Nth checkpoint
 //! of a given class. With the feature off the plan type does not exist and
@@ -36,7 +36,7 @@ use crate::telemetry::Telemetry;
 /// Where in an algorithm a [`Budget::checkpoint`] call sits.
 ///
 /// The class is part of the fault-injection addressing scheme (a
-/// [`FaultPlan`] can exhaust the budget at the Nth checkpoint of one
+/// `FaultPlan` can exhaust the budget at the Nth checkpoint of one
 /// specific class) and is otherwise only informational.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointClass {

@@ -13,7 +13,7 @@
 //!   the value 0, bucket `k` holds `[2^(k-1), 2^k)`);
 //! * [`ObsNode`] — an owned, mergeable span-tree node.
 //!   [`ObsNode::merge_span`] folds a finished recorder's
-//!   [`SpanData`](crate::telemetry::SpanData) snapshot into a cumulative
+//!   [`SpanData`] snapshot into a cumulative
 //!   hierarchical profile; [`chrome_trace`] serializes a profile as
 //!   Chrome trace-event JSON (`ph:"B"/"E"` pairs) so it opens in any
 //!   trace viewer;

@@ -202,7 +202,7 @@ impl Drop for MergeGuard<'_> {
 ///   sequence — never on how far its siblings got on another thread;
 /// * the per-item meters are merged back into `parent` in index order
 ///   when the fan-out completes (the merge is commutative addition, so
-///   panic-path absorption in [`MergeGuard`] yields the same totals), and
+///   panic-path absorption in the internal merge guard yields the same totals), and
 ///   telemetry is attributed through the parent's own handle, whose
 ///   counters are interleaving-independent by construction;
 /// * `workers` picks the fan-out width (`0` = auto, `1` = sequential);

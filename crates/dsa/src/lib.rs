@@ -7,7 +7,7 @@
 //! natural lower bound; Gergov proved `3·LOAD` always suffices, and
 //! Buchsbaum et al. proved `(1 + O((D/LOAD)^{1/7}))·LOAD` for small tasks.
 //!
-//! The paper uses DSA through Lemma 4 (from Bar-Yehuda et al. [6]): a
+//! The paper uses DSA through Lemma 4 (from Bar-Yehuda et al. \[6\]): a
 //! `B`-packable **UFPP** solution of δ-small tasks can be converted into a
 //! `B`-packable **SAP** solution keeping a `(1−4δ)` fraction of the weight.
 //! This crate implements that conversion as [`striplemma::pack_into_strip`]:

@@ -1,5 +1,5 @@
 //! The UFPP → SAP-in-a-strip transformation (Lemma 4 of the paper,
-//! after Bar-Yehuda et al. [6]).
+//! after Bar-Yehuda et al. \[6\]).
 //!
 //! Input: a `B`-packable UFPP solution `S` of δ-small tasks. Output: a
 //! `B`-packable **SAP** solution selecting a heavy subset of `S`.

@@ -5,7 +5,7 @@
 //! * **Fig. 1(a)**: with capacities `(½, 1, ½)` there is a set of tasks
 //!   forming a feasible UFPP solution that admits **no** SAP solution
 //!   containing all of them.
-//! * **Fig. 1(b)** (from Chen et al. [18]): the same separation with
+//! * **Fig. 1(b)** (from Chen et al. \[18\]): the same separation with
 //!   *uniform* capacity 1 and demands in `{¼, ½}`.
 //! * **Fig. 8**: a ½-large SAP solution of five tasks whose associated
 //!   rectangles `R(j)` form a 5-cycle — hence not 2-colourable, showing
@@ -36,7 +36,7 @@ pub fn fig1a() -> Instance {
     Instance::new(net, tasks).expect("static")
 }
 
-/// Fig. 1(b) (Chen et al. [18]): uniform capacity 4 (= 1 scaled by 4),
+/// Fig. 1(b) (Chen et al. \[18\]): uniform capacity 4 (= 1 scaled by 4),
 /// five edges, seven tasks with demands in `{1, 2}` (= `{¼, ½}`). The
 /// task set is UFPP-feasible but admits no full SAP solution; removing
 /// any single task makes it SAP-feasible (minimal witness, found by

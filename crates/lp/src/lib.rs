@@ -44,8 +44,7 @@
 //! iteration). A [`ScratchPool`] extends the same guarantee across
 //! many problems, keyed by shape. The pre-sparse dense solver survives
 //! as [`dense::solve_dense`], the differential oracle of the property
-//! tests, and [`bnb::solve_binary_bnb`] adds an opt-in bounded
-//! branch-and-bound integerization for 0/1 problems.
+//! tests.
 
 //! ## Example
 //!
@@ -64,12 +63,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bnb;
 pub mod dense;
 pub mod pool;
 pub mod simplex;
 
-pub use bnb::{solve_binary_bnb, BnbSolution};
 pub use dense::solve_dense;
 pub use pool::ScratchPool;
 pub use simplex::{

@@ -42,25 +42,15 @@ pub enum LpStatus {
 
 /// Solver knobs shared by every entry point that accepts options.
 ///
-/// All fields use `0` for "automatic": `max_pivots = 0` selects the
-/// `64·(n + m) + 4096` pivot ceiling, `refactor_every = 0` selects
-/// [`DEFAULT_REFACTOR_EVERY`], and `max_bnb_nodes = 0` lets the
-/// branch-and-bound integerizer pick its own node budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Both fields use `0` for "automatic": `max_pivots = 0` selects the
+/// `64·(n + m) + 4096` pivot ceiling and `refactor_every = 0` selects
+/// the built-in cadence of `DEFAULT_REFACTOR_EVERY` (64) etas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimplexOptions {
     /// Pivot ceiling per LP solve (`0` = automatic).
     pub max_pivots: usize,
-    /// Node ceiling for [`crate::bnb::solve_binary_bnb`] (`0` = automatic);
-    /// ignored by plain LP solves.
-    pub max_bnb_nodes: usize,
     /// Etas between basis refactorizations (`0` = automatic).
     pub refactor_every: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions { max_pivots: 0, max_bnb_nodes: 0, refactor_every: 0 }
-    }
 }
 
 /// Deterministic work counters of the most recent solve through a

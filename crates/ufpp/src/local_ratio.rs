@@ -5,7 +5,7 @@
 //!   `½B`-packable UFPP solution with `w(S) ≥ (1−4δ)/5 · OPT_SAP` —
 //!   the `(5+ε)` alternative to the LP-rounding of §4.1.
 //! * [`uniform_best_of`] — a classical local-ratio baseline for uniform
-//!   capacities in the spirit of Bar-Noy et al. [5]: exact weighted
+//!   capacities in the spirit of Bar-Noy et al. \[5\]: exact weighted
 //!   interval scheduling on *wide* tasks (`2d > c`: overlapping wide tasks
 //!   always conflict) combined with a local-ratio pass on *narrow* tasks;
 //!   the heavier of the two is returned (Lemma 3 gives ratio

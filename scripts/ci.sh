@@ -50,6 +50,9 @@
 #      feeding the same lines through batch-mode serve on stdin at both
 #      --workers 1 and --workers 8, and the server must report exactly
 #      three connections served.
+#  13. the rustdoc gate: `cargo doc` over the workspace with every rustdoc
+#      warning denied, so a doc comment that still links to a deleted,
+#      renamed, private or feature-gated item fails the build.
 #
 # Run from anywhere inside the repository.
 set -euo pipefail
@@ -258,5 +261,8 @@ for w in 1 8; do
             || { echo "connection $c stream diverges from batch mode at --workers $w" >&2; exit 1; }
     done
 done
+
+echo "==> rustdoc gate"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "ci: all gates passed"

@@ -495,6 +495,10 @@ pub fn run_server(opts: &ServeOptions, net: &NetOptions) -> Result<NetSummary, S
             Err(_) => continue,
         };
         accepted = accepted.saturating_add(1);
+        // Reap finished connections so a long-lived server holds one
+        // handle per *live* connection, not one per connection ever
+        // accepted. A finished thread has already absorbed its totals.
+        handles.retain(|handle| !handle.is_finished());
         let conn_opts = opts.clone();
         let conn_net = net.clone();
         let conn_cache = crate::serve::SharedCache::clone(&cache);

@@ -220,8 +220,8 @@ pub struct ServeStats {
     /// entry — a primary-fingerprint collision, served as a miss.
     pub fp_conflicts: u64,
     /// Input lines rejected by the framing layer for exceeding
-    /// `--max-line-bytes` (bumped by [`crate::net::process_items`]; the
-    /// engine itself never sees the oversized bytes).
+    /// `--max-line-bytes` (bumped when a [`crate::net::BatchPump`]
+    /// flushes; the engine itself never sees the oversized bytes).
     pub oversized: u64,
     /// Winning-arm counts across executed solves, as
     /// (`serve.winner.*` counter name, count).

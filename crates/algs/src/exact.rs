@@ -1,25 +1,61 @@
 //! Exact SAP by state-space search — the reference optimum for the ratio
-//! experiments and the oracle behind the Fig. 1 separations.
+//! experiments, the optimal class solver inside Elevator, and the oracle
+//! behind the Fig. 1 separations.
 //!
 //! The search exploits Observation 11: some optimal solution is *grounded*
 //! (every task at height 0 or resting on another). Enumerating selected
-//! tasks bottom-up, the grounded height of the next task is determined by
-//! the **makespan profile** `μ(e)` of the tasks placed so far — so a state
-//! is exactly `(placed set, μ profile)`. Distinct insertion orders
-//! reaching the same state are merged, and a task whose grounded height
-//! already overflows its bottleneck can never be placed later (profiles
-//! only grow), which yields a sound remaining-weight prune.
-
-use std::collections::HashSet;
+//! tasks bottom-up, the grounded height of the next task is the maximum of
+//! the makespan profile `μ` of the tasks placed so far over its span. A
+//! task whose grounded height already overflows its bottleneck can never
+//! be placed later (profiles only grow); the unplaced tasks that still fit
+//! are *live*, and they are exactly a node's children.
+//!
+//! **Flat incremental state.** Placing live task `i` at grounded height
+//! `h` raises `μ` to `top = h + d(i)` on `i`'s span and nowhere else, so a
+//! live task whose span overlaps `i`'s moves to `max(h_t, top)` and every
+//! other one keeps its height. A node is therefore the live set (a `u64`
+//! mask) plus the live tasks' grounded heights, kept in one preallocated
+//! buffer with one row per depth; `μ` itself is never materialised and a
+//! child touches only the tasks overlapping the one just placed.
+//!
+//! **Canonical weighted memo.** That live set and those heights determine
+//! the whole subtree below a node up to its starting weight, so they are
+//! the memo key (the closed set is the live set's complement, and the
+//! heights carry everything `μ` on live-crossed edges can still affect).
+//! The memo keeps the heaviest weight that has entered each key; a revisit
+//! at no greater weight returns at once. Keys are interned in one flat
+//! arena under FNV-1a hashing with open addressing, so a new key costs one
+//! arena write and a revisit allocates nothing.
+//!
+//! **Greedy incumbent.** A node's reach is its weight plus the weight of
+//! its live tasks. It is cut when `reach ≤ best` (it cannot strictly
+//! improve the incumbent) or `reach < g`, where `g` is the weight of
+//! [`greedy_sap_best`] on the same tasks (it cannot reach the optimum,
+//! which is at least `g`). The parent records each child's weight and
+//! applies the cut before recursing, so a cut child costs nothing.
+//!
+//! **Fixed child order.** Children are tried in index order and the
+//! incumbent moves only on a strict improvement, so the search returns the
+//! first optimal insertion order in that order. Each cut removes only a
+//! subtree with no optimal order or one whose optimal orders come after an
+//! equal-weight order already found (a memo hit needs a finished state of
+//! equal future and no lower weight), and the thresholds never fall. The
+//! cuts change how fast that order is found, never which order it is.
+//!
+//! **Work unit.** One `DpRow` is charged per node entered, memo hits
+//! included; children cut in the parent are not charged.
 
 use sap_core::budget::{Budget, CheckpointClass};
 use sap_core::error::{SapError, SapResult};
 use sap_core::{canonical_heights, Instance, SapSolution, TaskId};
 
+use crate::baselines::greedy_sap_best;
+
 /// Budget knobs for the exact search.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactConfig {
-    /// Maximum number of distinct `(set, profile)` states to expand.
+    /// Maximum number of distinct memo keys (live set plus grounded
+    /// heights) before the search gives up.
     pub max_states: usize,
 }
 
@@ -29,12 +65,112 @@ impl Default for ExactConfig {
     }
 }
 
+/// Marks a free slot of [`StateMemo::slots`].
+const EMPTY: usize = usize::MAX;
+
+/// One interned state: where its key sits in the arena, the key's hash,
+/// and the heaviest weight that has entered it.
+struct MemoEntry {
+    start: usize,
+    len: usize,
+    hash: u64,
+    weight: u64,
+}
+
+/// The canonical weighted memo: every distinct key stored once, back to
+/// back in one arena, and found through an open-addressing table.
+struct StateMemo {
+    words: Vec<u64>,
+    entries: Vec<MemoEntry>,
+    /// Entry indices by hash, linear probing; the length is a power of
+    /// two kept above twice the entry count.
+    slots: Vec<usize>,
+}
+
+impl StateMemo {
+    fn new() -> Self {
+        StateMemo { words: Vec::new(), entries: Vec::new(), slots: vec![EMPTY; 16] }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// FNV-1a over the key words — hermetic and deterministic run-to-run
+    /// (no `RandomState` seeding) — with a final fold, because scaled
+    /// heights share their low bits and the table indexes by low bits.
+    fn hash(key: &[u64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &v in key {
+            h ^= v;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^ (h >> 29) ^ (h >> 47)
+    }
+
+    /// Records that `key` is entered at `weight`. Returns `false` when the
+    /// key was already entered at a weight at least as heavy, in which
+    /// case the visit has nothing left to find.
+    fn admit(&mut self, key: &[u64], weight: u64) -> bool {
+        let hash = Self::hash(key);
+        let mask = self.slots.len() - 1;
+        let mut s = hash as usize & mask;
+        loop {
+            let id = self.slots[s];
+            if id == EMPTY {
+                break;
+            }
+            let e = &mut self.entries[id];
+            if e.hash == hash && self.words[e.start..e.start + e.len] == *key {
+                if weight <= e.weight {
+                    return false;
+                }
+                e.weight = weight;
+                return true;
+            }
+            s = (s + 1) & mask;
+        }
+        self.slots[s] = self.entries.len();
+        self.entries.push(MemoEntry { start: self.words.len(), len: key.len(), hash, weight });
+        self.words.extend_from_slice(key);
+        if 2 * self.entries.len() > self.slots.len() {
+            self.grow();
+        }
+        true
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for (id, e) in self.entries.iter().enumerate() {
+            let mut s = e.hash as usize & mask;
+            while self.slots[s] != EMPTY {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = id;
+        }
+    }
+}
+
 struct Search<'a> {
-    inst: &'a Instance,
-    ids: &'a [TaskId],
-    seen: HashSet<(u64, Vec<u64>)>,
+    /// Per search position `i` (index into `ids`): demand, bottleneck,
+    /// weight, and the mask of positions whose spans overlap `i`'s.
+    demand: Vec<u64>,
+    bottleneck: Vec<u64>,
+    weight: Vec<u64>,
+    overlap: Vec<u64>,
+    n: usize,
+    /// Grounded heights, one row of `n` per depth; only the live
+    /// positions of a row are meaningful.
+    heights: Vec<u64>,
+    memo: StateMemo,
+    /// Reused memo-key buffer.
+    key: Vec<u64>,
+    /// Weight of the greedy solution: no optimum weighs less.
+    greedy: u64,
+    order: Vec<usize>,
     best_weight: u64,
-    best_order: Vec<TaskId>,
+    best_order: Vec<usize>,
     max_states: usize,
     exhausted: bool,
     budget: Option<&'a Budget>,
@@ -55,7 +191,9 @@ pub fn solve_exact_sap(
 }
 
 /// Budget-aware variant of [`solve_exact_sap`]: charges one `DpRow` work
-/// unit per expanded search state against `budget`.
+/// unit per search node entered (memo hits included, children cut by the
+/// parent excluded) against `budget`, and records the memo size at exit
+/// as the `exact.memo_states` gauge on the budget's telemetry.
 ///
 /// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
 /// is the solver's own memo-state budget giving up.
@@ -77,10 +215,29 @@ fn run_exact(
     budget: Option<&Budget>,
 ) -> SapResult<Option<SapSolution>> {
     assert!(ids.len() <= 64, "exact solver limited to 64 tasks");
+    let n = ids.len();
+    let overlap = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| {
+            let span = instance.span(a);
+            ids.iter()
+                .enumerate()
+                .filter(|&(t, &b)| t != i && instance.span(b).overlaps(span))
+                .fold(0u64, |m, (t, _)| m | 1 << t)
+        })
+        .collect();
     let mut s = Search {
-        inst: instance,
-        ids,
-        seen: HashSet::new(),
+        demand: ids.iter().map(|&j| instance.demand(j)).collect(),
+        bottleneck: ids.iter().map(|&j| instance.bottleneck(j)).collect(),
+        weight: ids.iter().map(|&j| instance.weight(j)).collect(),
+        overlap,
+        n,
+        heights: vec![0; (n + 1) * n],
+        memo: StateMemo::new(),
+        key: Vec::with_capacity(n + 1),
+        greedy: greedy_sap_best(instance, ids).weight(instance),
+        order: Vec::with_capacity(n),
         best_weight: 0,
         best_order: Vec::new(),
         max_states: config.max_states,
@@ -88,18 +245,31 @@ fn run_exact(
         budget,
         budget_tripped: false,
     };
-    let mu = vec![0u64; instance.num_edges()];
-    let mut order = Vec::new();
-    s.dfs(0, &mu, 0, &mut order);
+    // The root: every task that fits at height 0 is live.
+    let mut live = 0u64;
+    let mut live_weight = 0u128;
+    for i in 0..n {
+        if s.demand[i] <= s.bottleneck[i] {
+            live |= 1 << i;
+            live_weight += u128::from(s.weight[i]);
+        }
+    }
+    if s.promising(0, live_weight) {
+        s.visit(0, live, live_weight, 0);
+    }
+    if let Some(b) = budget {
+        b.telemetry().gauge_max("exact.memo_states", s.memo.len() as u64);
+    }
     if s.budget_tripped {
         return Err(SapError::BudgetExhausted);
     }
     if s.exhausted {
         return Ok(None);
     }
-    let sol = canonical_heights(instance, &s.best_order)
-        // lint:allow(p1) — the DFS only records orders whose canonical
-        // heights it has already verified edge by edge.
+    let order: Vec<TaskId> = s.best_order.iter().map(|&i| ids[i]).collect();
+    let sol = canonical_heights(instance, &order)
+        // lint:allow(p1) — the search only records orders whose grounded
+        // heights it has already checked against every bottleneck.
         .expect("searched orders are feasible by construction");
     debug_assert_eq!(sol.weight(instance), s.best_weight);
     debug_assert!(sol.validate(instance).is_ok());
@@ -107,10 +277,17 @@ fn run_exact(
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, mask: u64, mu: &[u64], weight: u64, order: &mut Vec<TaskId>) {
-        if self.exhausted {
-            return;
-        }
+    /// Whether a node of `weight` with `live_weight` still placeable can
+    /// change the result. `live_weight` is exact (64 weights of at most
+    /// `u64::MAX` fit a `u128`); the reach saturates like the weights do.
+    fn promising(&self, weight: u64, live_weight: u128) -> bool {
+        let reach = u64::try_from(u128::from(weight) + live_weight).unwrap_or(u64::MAX);
+        reach > self.best_weight && reach >= self.greedy
+    }
+
+    /// Enters the node at `depth` whose live set is `live`; its grounded
+    /// heights are row `depth` of the height buffer.
+    fn visit(&mut self, depth: usize, live: u64, live_weight: u128, weight: u64) {
         if let Some(b) = self.budget {
             b.tick(CheckpointClass::DpRow, 1);
             if b.checkpoint(CheckpointClass::DpRow, 1).is_err() {
@@ -121,48 +298,61 @@ impl Search<'_> {
                 return;
             }
         }
-        if weight > self.best_weight {
-            self.best_weight = weight;
-            self.best_order = order.clone();
+        let n = self.n;
+        let row = depth * n;
+        self.key.clear();
+        self.key.push(live);
+        let mut rest = live;
+        while rest != 0 {
+            let t = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.key.push(self.heights[row + t]);
         }
-        // Prune: tasks that can still be placed (profiles only grow, so a
-        // task overflowing now overflows forever).
-        let mut potential = 0u64;
-        let mut feasible: Vec<(usize, u64)> = Vec::new(); // (position, grounded height)
-        for (i, &j) in self.ids.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                continue;
-            }
-            let span = self.inst.span(j);
-            let h = span.edges().map(|e| mu[e]).max().unwrap_or(0);
-            if h + self.inst.demand(j) <= self.inst.bottleneck(j) {
-                potential += self.inst.weight(j);
-                feasible.push((i, h));
-            }
-        }
-        if weight.saturating_add(potential) <= self.best_weight {
+        if !self.memo.admit(&self.key, weight) {
             return;
         }
-        if !self.seen.insert((mask, mu.to_vec())) {
-            return;
-        }
-        if self.seen.len() > self.max_states {
+        if self.memo.len() > self.max_states {
             self.exhausted = true;
             return;
         }
-        for (i, h) in feasible {
-            let j = self.ids[i];
-            let mut mu2 = mu.to_vec();
-            let top = h + self.inst.demand(j);
-            for e in self.inst.span(j).edges() {
-                mu2[e] = top;
+        let next = row + n;
+        let mut rest = live;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let top = self.heights[row + i] + self.demand[i];
+            let mut child = live & !(1 << i);
+            let mut child_live_weight = live_weight - u128::from(self.weight[i]);
+            self.heights.copy_within(row..next, next);
+            let mut moved = child & self.overlap[i];
+            while moved != 0 {
+                let t = moved.trailing_zeros() as usize;
+                moved &= moved - 1;
+                let h = self.heights[row + t].max(top);
+                if h.saturating_add(self.demand[t]) > self.bottleneck[t] {
+                    child &= !(1 << t);
+                    child_live_weight -= u128::from(self.weight[t]);
+                } else {
+                    self.heights[next + t] = h;
+                }
             }
-            order.push(j);
-            self.dfs(mask | (1 << i), &mu2, weight.saturating_add(self.inst.weight(j)), order);
-            order.pop();
+            let w = weight.saturating_add(self.weight[i]);
+            self.order.push(i);
+            if w > self.best_weight {
+                self.best_weight = w;
+                self.best_order.clone_from(&self.order);
+            }
+            if self.promising(w, child_live_weight) {
+                self.visit(depth + 1, child, child_live_weight, w);
+            }
+            self.order.pop();
+            if self.exhausted {
+                return;
+            }
         }
     }
 }
+
 
 /// True when **all** tasks in `ids` can be scheduled simultaneously
 /// (the decision version used by the Fig. 1 separations). Weights are
@@ -327,5 +517,28 @@ mod tests {
         assert_eq!(exact(&inst), 5);
         let empty = Instance::new(PathNetwork::uniform(2, 4).unwrap(), vec![]).unwrap();
         assert_eq!(exact(&empty), 0);
+    }
+
+    #[test]
+    fn budgeted_search_reports_its_memo_and_charges_each_node() {
+        let net = PathNetwork::new(vec![6, 3, 6, 3]).unwrap();
+        let tasks = vec![
+            Task::of(0, 4, 3, 9),
+            Task::of(0, 2, 3, 5),
+            Task::of(2, 4, 3, 5),
+            Task::of(1, 3, 1, 2),
+            Task::of(0, 1, 3, 4),
+        ];
+        let inst = Instance::new(net, tasks).unwrap();
+        let rec = sap_core::Recorder::new();
+        let budget = Budget::unlimited().with_telemetry(rec.handle());
+        let sol = solve_exact_sap_budgeted(&inst, &inst.all_ids(), ExactConfig::default(), &budget)
+            .unwrap()
+            .expect("tiny instance");
+        assert_eq!(sol.weight(&inst), exact(&inst));
+        let keys = rec.handle().gauge("exact.memo_states");
+        // Every key was entered at least once, and every entry costs a row.
+        assert!(keys > 0);
+        assert!(budget.class_consumed(CheckpointClass::DpRow) >= keys);
     }
 }

@@ -110,8 +110,8 @@ pub fn solve_medium_with_stats(
 }
 
 /// Budget-aware fallible AlmostUniform: the per-class exact solvers are
-/// charged against `budget` (`DpRow` units per expanded state, plus one
-/// `Driver` unit per class). The classes fan out through
+/// charged against `budget` (one `DpRow` unit per search node entered,
+/// plus one `Driver` unit per class). The classes fan out through
 /// [`sap_core::map_reduce_isolated`] on fixed per-class budget shares, so
 /// metered runs trip — and degrade — byte-identically at any `workers`
 /// width (`0` = auto, `1` = sequential).

@@ -53,6 +53,13 @@
 #  13. the rustdoc gate: `cargo doc` over the workspace with every rustdoc
 #      warning denied, so a doc comment that still links to a deleted,
 #      renamed, private or feature-gated item fails the build.
+#  14. the exact-search differential gate: the ignored wide sweeps of
+#      `crates/algs/tests/exact_differential.rs` in release mode. Every
+#      Elevator class of 3,000 seeded 16-task instances (the benchmark's
+#      cold-mixed shape), and of 220 seeded 30-task instances, is solved
+#      by the exact search and by the previous search kept as a test
+#      oracle; the placements must be identical wherever the oracle
+#      finishes. `cargo test --workspace` runs a debug slice of both.
 #
 # Run from anywhere inside the repository.
 set -euo pipefail
@@ -264,5 +271,8 @@ done
 
 echo "==> rustdoc gate"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+echo "==> exact-search differential gate"
+cargo test -q --release -p sap-algs --test exact_differential -- --ignored
 
 echo "ci: all gates passed"

@@ -289,7 +289,6 @@ impl Search<'_> {
     /// heights are row `depth` of the height buffer.
     fn visit(&mut self, depth: usize, live: u64, live_weight: u128, weight: u64) {
         if let Some(b) = self.budget {
-            b.tick(CheckpointClass::DpRow, 1);
             if b.checkpoint(CheckpointClass::DpRow, 1).is_err() {
                 // Unwind the whole search; the caller maps this to
                 // Err(BudgetExhausted), so the partial best is never used.

@@ -130,7 +130,6 @@ fn run_lemma13(
         let mut cur: BTreeMap<State, (u64, State, Vec<Placement>)> = BTreeMap::new();
         for (state, (w, _, _)) in &prev {
             if let Some(b) = budget {
-                b.tick(CheckpointClass::DpRow, 1);
                 b.checkpoint(CheckpointClass::DpRow, 1)?;
             }
             // Tasks leaving before edge e keep nothing; survivors persist.

@@ -243,7 +243,6 @@ fn elevator(
 ) -> SapResult<(SapSolution, bool)> {
     let phase = budget.telemetry().span("class");
     phase.observe("members", members.len() as u64);
-    budget.tick(CheckpointClass::Driver, 1);
     budget.checkpoint(CheckpointClass::Driver, 1)?;
     debug_assert!(k > q, "scaling guarantees every class index exceeds q");
     let band_lo = 1u64 << k;

@@ -89,7 +89,6 @@ impl Search<'_> {
             return;
         }
         if let Some(b) = self.budget {
-            b.tick(CheckpointClass::DpRow, 1);
             if b.checkpoint(CheckpointClass::DpRow, 1).is_err() {
                 // Unwind the whole search; the caller maps this to
                 // Err(BudgetExhausted), so the partial best is never used.

@@ -2,11 +2,12 @@
 //!
 //! The hermetic experiment + benchmark harness. Two binaries:
 //!
-//! * **`sap-bench`** (default) — the bench suite behind `BENCH_*.json`:
-//!   deterministic work-units from the [`sap_core::budget::Budget`]
-//!   meter, wall-clock per workload family, worker-count sweeps with
-//!   byte-identity checks, and the MWIS allocation gauges. See
-//!   [`suite`].
+//! * **`sap-bench`** (default) — the four bench suites behind
+//!   `BENCH_*.json` (`core`, `lp`, `overload`, `obs`): deterministic
+//!   work-units from the [`sap_core::budget::Budget`] meter, wall-clock
+//!   per workload family, worker-count sweeps with byte-identity checks,
+//!   and self-validated reports. [`suite`] holds the scaffold they
+//!   share.
 //! * **`report`** — regenerates every experiment table in
 //!   EXPERIMENTS.md (T1–T6, L4, L16/17, A1, BL, PC, UF, DS).
 //!
@@ -25,12 +26,11 @@
 
 #![forbid(unsafe_code)]
 
+pub mod core_bench;
 pub mod experiments;
 pub mod lp_bench;
-pub mod net_bench;
 pub mod obs_bench;
 pub mod overload_bench;
-pub mod serve_bench;
 pub mod suite;
 pub mod table;
 pub mod workloads;

@@ -29,19 +29,15 @@
 use std::time::Instant;
 
 use lp_solver::{solve_dense, LpProblem, LpStatus, Scratch, SimplexOptions};
-use sap_algs::{try_solve, SapParams};
-use sap_core::budget::Budget;
-use sap_core::{Instance, Recorder, SpanData};
+use sap_core::Instance;
 use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig, Rng64};
 
-use crate::suite::SuiteConfig;
+use crate::suite::{
+    check_sweep, family, fmt_ms, parse_report, report, sweep, workload_id, SuiteConfig,
+};
 
 /// Objectives within `1e-6 · (1 + max|obj|)` count as agreeing.
 const AGREE_TOL: f64 = 1e-6;
-
-fn fmt_ms(x: f64) -> String {
-    format!("{x:.3}")
-}
 
 /// A random packing LP with `m` rows, `n` columns, ~2/3 density.
 fn random_lp(seed: u64, m: usize, n: usize) -> LpProblem {
@@ -111,77 +107,21 @@ fn strata_workload(seed: u64, tasks: usize) -> Instance {
     )
 }
 
-struct DriverSample {
-    workers: usize,
-    wall_ms: f64,
-    work_units: u64,
-    weight: u64,
-    report_json: String,
-    telemetry_json: String,
-    lp_etas: u64,
-    lp_refactors: u64,
-}
-
-/// Sums the counter `name` over the whole span tree (the `lp.*` counters
-/// live under `small → stratum → lp.solve`, not at the root).
-fn deep_counter(node: &SpanData, name: &str) -> u64 {
-    let own = node.counters.iter().find(|(k, _)| *k == name).map_or(0, |&(_, v)| v);
-    node.children.iter().fold(own, |acc, c| acc.saturating_add(deep_counter(c, name)))
-}
-
-fn run_driver(inst: &Instance, workers: usize) -> DriverSample {
-    let ids = inst.all_ids();
-    let rec = Recorder::new();
-    let budget = Budget::unlimited().with_telemetry(rec.handle());
-    let params = SapParams { workers, ..Default::default() };
-    let start = Instant::now();
-    let (sol, report) = try_solve(inst, &ids, &params, &budget).expect("driver is total");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let snap = rec.snapshot();
-    DriverSample {
-        workers,
-        wall_ms,
-        work_units: report.attributed_work(),
-        weight: sol.weight(inst),
-        report_json: report.to_json_string(),
-        telemetry_json: rec.to_json_string(),
-        lp_etas: deep_counter(&snap, "lp.etas"),
-        lp_refactors: deep_counter(&snap, "lp.refactors"),
-    }
-}
-
 /// One `multi_strata` workload entry (worker sweep + identity checks).
 fn strata_entry(id: &str, inst: &Instance, workers: &[usize]) -> String {
-    let runs: Vec<DriverSample> = workers.iter().map(|&w| run_driver(inst, w)).collect();
-    let base = &runs[0];
-    let deterministic = runs.iter().all(|r| {
-        r.weight == base.weight
-            && r.work_units == base.work_units
-            && r.report_json == base.report_json
-            && r.telemetry_json == base.telemetry_json
-    });
-    let run_objs: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"wall_ms\":{},\"work_units\":{},\"weight\":{}}}",
-                r.workers,
-                fmt_ms(r.wall_ms),
-                r.work_units,
-                r.weight
-            )
-        })
-        .collect();
+    let sweep = sweep(inst, workers);
+    let base = sweep.base();
     format!(
         "{{\"id\":\"{id}\",\"edges\":{},\"tasks\":{},\"work_units\":{},\
-         \"deterministic\":{deterministic},\"lp_etas\":{},\"lp_refactors\":{},\
-         \"runs\":[{}]}}",
+         \"deterministic\":{},\"lp_etas\":{},\"lp_refactors\":{},\
+         \"runs\":{}}}",
         inst.num_edges(),
         inst.num_tasks(),
         base.work_units,
+        sweep.deterministic,
         base.lp_etas,
         base.lp_refactors,
-        run_objs.join(",")
+        sweep.runs_json()
     )
 }
 
@@ -208,7 +148,6 @@ fn trace_entry(seed: u64, m: usize, n: usize) -> String {
 
 /// Runs the `lp` suite and renders the report as a JSON document.
 pub fn run_lp(config: &SuiteConfig) -> String {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut families = Vec::new();
 
     // Family 1: dense-vs-sparse ladder.
@@ -250,14 +189,7 @@ pub fn run_lp(config: &SuiteConfig) -> String {
     }
     families.push(format!("{{\"name\":\"lp_trace\",\"workloads\":[{}]}}", workloads.join(",")));
 
-    let workers: Vec<String> = config.workers.iter().map(|w| w.to_string()).collect();
-    format!(
-        "{{\"schema\":\"sap-bench/1\",\"suite\":\"lp\",\"smoke\":{},\
-         \"hardware_threads\":{hw},\"workers\":[{}],\"families\":[{}]}}",
-        config.smoke,
-        workers.join(","),
-        families.join(",")
-    )
+    report("lp", config, &format!("\"families\":[{}]", families.join(",")))
 }
 
 /// Validates an `lp` suite report. Returns the violations (empty = valid).
@@ -273,33 +205,19 @@ pub fn run_lp(config: &SuiteConfig) -> String {
 ///   nonzero LP work (`lp_etas > 0` — the scaling claim is not vacuous);
 /// * every `lp_trace` entry has `pivots > 0` and `traces_identical`.
 pub fn validate_lp_report(doc: &str) -> Vec<String> {
-    let mut errors = Vec::new();
-    let v = match crate::json::parse(doc) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("not valid JSON: {e}")],
-    };
-    if v.get("schema").and_then(|s| s.as_str()) != Some("sap-bench/1") {
-        errors.push("schema tag missing or wrong".to_string());
-    }
-    if v.get("suite").and_then(|s| s.as_str()) != Some("lp") {
-        errors.push("suite tag missing or wrong".to_string());
-    }
-    let Some(families) = v.get("families").and_then(|f| f.as_array()) else {
-        errors.push("families array missing".to_string());
-        return errors;
-    };
-    let family = |name: &str| {
-        families.iter().find(|f| f.get("name").and_then(|n| n.as_str()) == Some(name))
+    let (v, mut errors) = match parse_report(doc, "lp") {
+        Ok(parsed) => parsed,
+        Err(errors) => return errors,
     };
 
-    match family("lp_core").and_then(|f| f.get("workloads")?.as_array()) {
+    match family(&v, "lp_core") {
         None => errors.push("lp_core family missing".to_string()),
         Some(workloads) => {
             if workloads.is_empty() {
                 errors.push("lp_core has no workloads".to_string());
             }
             for w in workloads {
-                let id = w.get("id").and_then(|s| s.as_str()).unwrap_or("?");
+                let id = workload_id(w);
                 if w.get("agree").and_then(|a| a.as_bool()) != Some(true) {
                     errors.push(format!("{id}: sparse and dense solvers disagree"));
                 }
@@ -311,23 +229,15 @@ pub fn validate_lp_report(doc: &str) -> Vec<String> {
         }
     }
 
-    match family("multi_strata").and_then(|f| f.get("workloads")?.as_array()) {
+    match family(&v, "multi_strata") {
         None => errors.push("multi_strata family missing".to_string()),
         Some(workloads) => {
             if workloads.is_empty() {
                 errors.push("multi_strata has no workloads".to_string());
             }
             for w in workloads {
-                let id = w.get("id").and_then(|s| s.as_str()).unwrap_or("?");
-                if w.get("deterministic").and_then(|d| d.as_bool()) != Some(true) {
-                    errors.push(format!("{id}: runs were not byte-identical"));
-                }
-                let total = w.get("work_units").and_then(|u| u.as_u64());
-                for r in w.get("runs").and_then(|r| r.as_array()).unwrap_or(&[]) {
-                    if r.get("work_units").and_then(|u| u.as_u64()) != total {
-                        errors.push(format!("{id}: work units not conserved across runs"));
-                    }
-                }
+                check_sweep(w, &mut errors);
+                let id = workload_id(w);
                 if id.contains("_x10_")
                     && w.get("lp_etas").and_then(|e| e.as_u64()).unwrap_or(0) == 0
                 {
@@ -337,14 +247,14 @@ pub fn validate_lp_report(doc: &str) -> Vec<String> {
         }
     }
 
-    match family("lp_trace").and_then(|f| f.get("workloads")?.as_array()) {
+    match family(&v, "lp_trace") {
         None => errors.push("lp_trace family missing".to_string()),
         Some(workloads) => {
             if workloads.is_empty() {
                 errors.push("lp_trace has no workloads".to_string());
             }
             for w in workloads {
-                let id = w.get("id").and_then(|s| s.as_str()).unwrap_or("?");
+                let id = workload_id(w);
                 if w.get("traces_identical").and_then(|t| t.as_bool()) != Some(true) {
                     errors.push(format!("{id}: warm and cold pivot traces differ"));
                 }

@@ -4,15 +4,26 @@
 //! cargo run -p sap-bench --release -- --suite core --out BENCH_pr4.json
 //! cargo run -p sap-bench --release -- --suite core --smoke
 //! cargo run -p sap-bench --release -- --suite core --workers 1,2,8
-//! cargo run -p sap-bench --release -- --suite serve --smoke
+//! cargo run -p sap-bench --release -- --suite lp --smoke
 //! ```
 //!
 //! `--smoke` shrinks the workloads to CI scale; `--out` writes the JSON
 //! report to a file (stdout otherwise). The report is validated against
-//! the `sap-bench/1` schema before it is emitted, so a report that
-//! reaches disk is schema-valid by construction.
+//! the `sap-bench/1` schema and its suite's invariants before it is
+//! emitted, so a report that reaches disk is valid by construction.
 
-use sap_bench::suite::{run_core, SuiteConfig};
+use sap_bench::suite::SuiteConfig;
+use sap_bench::{core_bench, lp_bench, obs_bench, overload_bench};
+
+/// A suite's name, its runner, and the validator of its report.
+type Suite = (&'static str, fn(&SuiteConfig) -> String, fn(&str) -> Vec<String>);
+
+const SUITES: [Suite; 4] = [
+    ("core", core_bench::run_core, core_bench::validate_core_report),
+    ("lp", lp_bench::run_lp, lp_bench::validate_lp_report),
+    ("overload", overload_bench::run_overload, overload_bench::validate_overload_report),
+    ("obs", obs_bench::run_obs, obs_bench::validate_obs_report),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,47 +54,15 @@ fn main() {
         }
     }
 
+    let Some(&(_, run, validate)) = SUITES.iter().find(|(name, _, _)| *name == suite) else {
+        usage(&format!("unknown suite {suite:?} (available: {})", suite_names(", ")));
+    };
     eprintln!(
         "running suite {suite} (smoke: {}, workers: {:?})…",
         config.smoke, config.workers
     );
-    let (doc, errors) = match suite.as_str() {
-        "core" => {
-            let doc = run_core(&config);
-            let errors = sap_bench::suite::validate_report(&doc);
-            (doc, errors)
-        }
-        "serve" => {
-            let doc = sap_bench::serve_bench::run_serve(&config);
-            let errors = sap_bench::serve_bench::validate_serve_report(&doc);
-            (doc, errors)
-        }
-        "overload" => {
-            let doc = sap_bench::overload_bench::run_overload(&config);
-            let errors = sap_bench::overload_bench::validate_overload_report(&doc);
-            (doc, errors)
-        }
-        "obs" => {
-            let doc = sap_bench::obs_bench::run_obs(&config);
-            let errors = sap_bench::obs_bench::validate_obs_report(&doc);
-            (doc, errors)
-        }
-        "lp" => {
-            let doc = sap_bench::lp_bench::run_lp(&config);
-            let errors = sap_bench::lp_bench::validate_lp_report(&doc);
-            (doc, errors)
-        }
-        "net" => {
-            let doc = sap_bench::net_bench::run_net(&config);
-            let errors = sap_bench::net_bench::validate_net_report(&doc);
-            (doc, errors)
-        }
-        other => {
-            usage(&format!(
-                "unknown suite {other:?} (available: core, serve, overload, obs, lp, net)"
-            ))
-        }
-    };
+    let doc = run(&config);
+    let errors = validate(&doc);
     if !errors.is_empty() {
         for e in &errors {
             eprintln!("invariant violated: {e}");
@@ -99,10 +78,15 @@ fn main() {
     }
 }
 
+fn suite_names(sep: &str) -> String {
+    SUITES.iter().map(|(name, _, _)| *name).collect::<Vec<_>>().join(sep)
+}
+
 fn usage(msg: &str) -> ! {
     eprintln!("sap-bench: {msg}");
     eprintln!(
-        "usage: sap-bench [--suite core|serve|overload|obs|lp|net] [--smoke] [--workers 1,8] [--out report.json]"
+        "usage: sap-bench [--suite {}] [--smoke] [--workers 1,8] [--out report.json]",
+        suite_names("|")
     );
     std::process::exit(2);
 }

@@ -29,7 +29,7 @@ use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::io::{InstanceDto, JsonDto};
 use storage_alloc::serve::{ServeEngine, ServeOptions};
 
-use crate::suite::SuiteConfig;
+use crate::suite::{fmt_ms, parse_report, report, SuiteConfig};
 
 /// Global work-unit pool per batch tick.
 const POOL: u64 = 500;
@@ -114,7 +114,6 @@ fn run(stream: &[Vec<String>], options: ServeOptions) -> Run {
 
 /// Runs the `obs` suite and renders the report as a JSON document.
 pub fn run_obs(config: &SuiteConfig) -> String {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let batches = if config.smoke { 4 } else { 12 };
     let input = stream(batches, config.smoke);
 
@@ -171,20 +170,14 @@ pub fn run_obs(config: &SuiteConfig) -> String {
     } else {
         0.0
     };
-    let workers: Vec<String> = config.workers.iter().map(|w| w.to_string()).collect();
     let stats = &on.engine.stats;
-    format!(
-        "{{\"schema\":\"sap-bench/1\",\"suite\":\"obs\",\"smoke\":{},\
-         \"hardware_threads\":{},\"workers\":[{}],\"batches\":{},\
-         \"pool\":{POOL},\"quota\":{QUOTA},\
+    let fields = format!(
+        "\"batches\":{},\"pool\":{POOL},\"quota\":{QUOTA},\
          \"requests\":{},\"ok\":{},\"err\":{},\"shed\":{},\
          \"work_total\":{},\"snapshot_lines\":{},\"snapshot_bytes\":{},\
          \"trace_events\":{},\"deterministic\":{},\
-         \"wall_ms_obs_off\":{:.3},\"wall_ms_obs_on\":{:.3},\
-         \"overhead_pct\":{:.2}}}",
-        config.smoke,
-        hw,
-        workers.join(","),
+         \"wall_ms_obs_off\":{},\"wall_ms_obs_on\":{},\
+         \"overhead_pct\":{:.2}",
         batches,
         stats.requests,
         stats.ok,
@@ -195,10 +188,11 @@ pub fn run_obs(config: &SuiteConfig) -> String {
         snapshot_bytes,
         trace_events,
         deterministic,
-        off.wall_ms,
-        on.wall_ms,
+        fmt_ms(off.wall_ms),
+        fmt_ms(on.wall_ms),
         overhead_pct,
-    )
+    );
+    report("obs", config, &fields)
 }
 
 /// Validates an `obs` suite report. Returns the violations (empty =
@@ -215,17 +209,10 @@ pub fn run_obs(config: &SuiteConfig) -> String {
 /// * response kinds partition the stream (`ok + err + shed ==
 ///   requests`).
 pub fn validate_obs_report(doc: &str) -> Vec<String> {
-    let mut errors = Vec::new();
-    let v = match crate::json::parse(doc) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("not valid JSON: {e}")],
+    let (v, mut errors) = match parse_report(doc, "obs") {
+        Ok(parsed) => parsed,
+        Err(errors) => return errors,
     };
-    if v.get("schema").and_then(|s| s.as_str()) != Some("sap-bench/1") {
-        errors.push("schema tag missing or wrong".to_string());
-    }
-    if v.get("suite").and_then(|s| s.as_str()) != Some("obs") {
-        errors.push("suite tag missing or wrong".to_string());
-    }
     if v.get("deterministic").and_then(|d| d.as_bool()) != Some(true) {
         errors.push("obs plane was not byte-identical across widths/warmth".to_string());
     }

@@ -29,7 +29,7 @@ use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::io::{InstanceDto, JsonDto};
 use storage_alloc::serve::{ServeEngine, ServeOptions};
 
-use crate::suite::SuiteConfig;
+use crate::suite::{fmt_ms, parse_report, report, SuiteConfig};
 
 /// Global work-unit pool per batch tick.
 const POOL: u64 = 600;
@@ -115,7 +115,6 @@ fn run_level(stream: &[Vec<String>], workers: usize) -> LevelRun {
 
 /// Runs the `overload` suite and renders the report as a JSON document.
 pub fn run_overload(config: &SuiteConfig) -> String {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let levels: &[usize] = if config.smoke { &[1, 4, 8] } else { &[1, 2, 4, 8, 16] };
     let batches = if config.smoke { 3 } else { 5 };
 
@@ -147,7 +146,7 @@ pub fn run_overload(config: &SuiteConfig) -> String {
             "{{\"level\":{},\"requests\":{},\"ok\":{},\"err\":{},\"shed\":{},\
              \"admitted\":{},\"degraded_lemma13\":{},\"degraded_greedy\":{},\
              \"shed_quota\":{},\"shed_capacity\":{},\"tenant_throttled\":{},\
-             \"wall_ms\":{:.3}}}",
+             \"wall_ms\":{}}}",
             level,
             stats.requests,
             stats.ok,
@@ -159,23 +158,18 @@ pub fn run_overload(config: &SuiteConfig) -> String {
             adm.shed_quota,
             adm.shed_capacity,
             adm.tenant_throttled,
-            base.wall_ms,
+            fmt_ms(base.wall_ms),
         ));
     }
-    let workers: Vec<String> = config.workers.iter().map(|w| w.to_string()).collect();
-    format!(
-        "{{\"schema\":\"sap-bench/1\",\"suite\":\"overload\",\"smoke\":{},\
-         \"hardware_threads\":{},\"workers\":[{}],\"batches\":{},\
-         \"pool\":{POOL},\"quota\":{QUOTA},\"cost\":{COST},\"tenants\":{},\
-         \"deterministic\":{},\"levels\":[{}]}}",
-        config.smoke,
-        hw,
-        workers.join(","),
+    let fields = format!(
+        "\"batches\":{},\"pool\":{POOL},\"quota\":{QUOTA},\"cost\":{COST},\"tenants\":{},\
+         \"deterministic\":{},\"levels\":[{}]",
         batches,
         TENANTS.len(),
         deterministic,
         level_docs.join(",")
-    )
+    );
+    report("overload", config, &fields)
 }
 
 /// Validates an `overload` suite report. Returns the violations (empty
@@ -195,17 +189,10 @@ pub fn run_overload(config: &SuiteConfig) -> String {
 ///   non-decreasing across levels, and the heaviest level actually
 ///   sheds (the sweep must reach saturation to mean anything).
 pub fn validate_overload_report(doc: &str) -> Vec<String> {
-    let mut errors = Vec::new();
-    let v = match crate::json::parse(doc) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("not valid JSON: {e}")],
+    let (v, mut errors) = match parse_report(doc, "overload") {
+        Ok(parsed) => parsed,
+        Err(errors) => return errors,
     };
-    if v.get("schema").and_then(|s| s.as_str()) != Some("sap-bench/1") {
-        errors.push("schema tag missing or wrong".to_string());
-    }
-    if v.get("suite").and_then(|s| s.as_str()) != Some("overload") {
-        errors.push("suite tag missing or wrong".to_string());
-    }
     if v.get("deterministic").and_then(|d| d.as_bool()) != Some(true) {
         errors.push("responses were not byte-identical across widths/replays".to_string());
     }

@@ -340,7 +340,7 @@ impl Budget {
     /// Each child has fresh counters and a fresh LP-solve fault counter
     /// (fault addressing becomes per-item, still deterministic), shares
     /// the cancellation flag, and carries the same telemetry handle, so
-    /// ticks from any child land on the same phase node. Pair with
+    /// every child's checkpoints attribute to the same phase node. Pair with
     /// [`Budget::absorb`] to fold the children's meters back into this
     /// budget — [`sap_core::map_reduce_isolated`](crate::map_reduce_isolated)
     /// does both.
@@ -394,9 +394,9 @@ impl Budget {
         }
     }
 
-    /// Attaches a telemetry handle; all [`Budget::tick`] calls through this
-    /// budget (and through [children](Budget::child), which inherit the
-    /// handle) attribute work to that phase. The default handle is the
+    /// Attaches a telemetry handle; every [`Budget::checkpoint`] through
+    /// this budget (and through [children](Budget::child), which inherit
+    /// the handle) attributes its units to that phase. The default handle is the
     /// no-op [`Telemetry::off`], which keeps the hot path allocation-free.
     pub fn with_telemetry(mut self, tele: Telemetry) -> Budget {
         self.tele = tele;
@@ -407,18 +407,6 @@ impl Budget {
     /// Solvers use it to open phase spans and record domain counters.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tele
-    }
-
-    /// Attributes `units` of class `class` to the current telemetry phase.
-    ///
-    /// Call this immediately **before** the matching
-    /// [`Budget::checkpoint`], so that the units of a tripping checkpoint
-    /// are still attributed (the meter itself counts them — see
-    /// `checkpoint`). The `t1` lint enforces this pairing at every
-    /// checkpoint call site in the solver crates. A no-op when no recorder
-    /// is attached.
-    pub fn tick(&self, class: CheckpointClass, units: u64) {
-        self.tele.work(class, units);
     }
 
     /// True when the budget can trip deterministically — a finite
@@ -435,6 +423,10 @@ impl Budget {
 
     /// Records `units` of work at a loop boundary and checks every limit.
     ///
+    /// The units are counted on the meter and attributed to the attached
+    /// telemetry phase before any limit is checked, so a checkpoint that
+    /// trips still has its units counted and attributed.
+    ///
     /// Returns [`SapError::BudgetExhausted`] when the budget is cancelled,
     /// over its work-unit limit, past its deadline, or hits an injected
     /// exhaustion fault. Algorithms must propagate the error upward
@@ -445,6 +437,7 @@ impl Budget {
         if let Some(slot) = self.by_class.get(class.index()) {
             slot.fetch_add(units, Ordering::Relaxed);
         }
+        self.tele.work(class, units);
         if self.cancelled.load(Ordering::Relaxed) {
             return Err(SapError::BudgetExhausted);
         }
@@ -878,16 +871,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_ticks_attached_telemetry() {
+    fn checkpoints_attribute_to_attached_telemetry() {
         let rec = crate::telemetry::Recorder::new();
-        let b = Budget::unlimited().with_telemetry(rec.handle().child("arm"));
-        b.tick(CheckpointClass::DpRow, 4);
+        let b = Budget::unlimited().with_work_units(8).with_telemetry(rec.handle().child("arm"));
         b.checkpoint(CheckpointClass::DpRow, 4).unwrap();
         let child = b.child();
-        child.tick(CheckpointClass::DpRow, 2);
         child.checkpoint(CheckpointClass::DpRow, 2).unwrap();
+        // a tripping checkpoint still attributes its units
+        assert!(b.checkpoint(CheckpointClass::PackSweep, 5).is_err());
         let arm = rec.handle().get_child("arm").expect("arm phase recorded");
         assert_eq!(arm.work_units(CheckpointClass::DpRow), 6);
+        assert_eq!(arm.work_units(CheckpointClass::PackSweep), 5);
         // telemetry attribution matches the two budgets' own meters
         assert_eq!(arm.work_total(), b.consumed() + child.consumed());
     }

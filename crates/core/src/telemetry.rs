@@ -228,7 +228,7 @@ impl Telemetry {
     }
 
     /// Attributes `units` work units of `class` to this phase. This is
-    /// what [`crate::budget::Budget::tick`] calls; the per-phase sums
+    /// what [`crate::budget::Budget::checkpoint`] calls; the per-phase sums
     /// reconcile with the budget meter (the conservation test pins it).
     pub fn work(&self, class: CheckpointClass, units: u64) {
         if let Some(node) = &self.node {

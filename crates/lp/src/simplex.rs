@@ -951,7 +951,6 @@ impl<'a> Simplex<'a> {
         let mut last_obj = f64::NEG_INFINITY;
         for _ in 0..max_iters {
             if let Some(b) = budget {
-                b.tick(CheckpointClass::LpPivot, 1);
                 b.checkpoint(CheckpointClass::LpPivot, 1)?;
             }
             if self.etas_since_refactor >= self.refactor_every && !self.refactor(budget) {

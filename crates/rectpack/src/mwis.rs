@@ -307,7 +307,6 @@ impl<'a> Solver<'a> {
             return 0;
         }
         if let Some(b) = self.budget {
-            b.tick(CheckpointClass::PackSweep, 1);
             if b.checkpoint(CheckpointClass::PackSweep, 1).is_err() {
                 // Unwind the whole recursion; the caller maps this to
                 // Err(BudgetExhausted), so the bogus 0 value is never used.

@@ -22,7 +22,6 @@ fn build(inst: &Instance) -> Solution {
 pub fn try_scan(budget: &Budget, cap: u64, weight: u64, n: u64) -> SapResult<u64> {
     let mut acc = cap.saturating_add(weight);
     while acc < n {
-        budget.tick(CheckpointClass::DpRow, 1);
         budget.checkpoint(CheckpointClass::DpRow, 1)?;
         acc += 1;
     }

@@ -1,6 +1,6 @@
 //! The source-level lints: p1 panic-freedom, f1 float-equality,
-//! v1 validator coverage, d1 docs, r1 panic isolation, t1 telemetry
-//! ticks at budget checkpoints, a1 memo-key cloning in rectpack.
+//! v1 validator coverage, d1 docs, r1 panic isolation, a1 memo-key
+//! cloning in rectpack.
 //!
 //! All of them work on the blanked "code view" produced by
 //! [`crate::source::SourceFile`], so comments and string contents never
@@ -22,16 +22,6 @@ const P1_NEEDLES: [&str; 6] =
 /// them are where the SAP kernels historically went out of bounds).
 const INDEX_HEAVY_THRESHOLD: usize = 3;
 
-/// Crates whose `Budget::checkpoint` call sites must tick the telemetry
-/// phase meter (t1). `sap-core` is exempt: it implements the budget and
-/// telemetry themselves.
-const T1_CRATES: [&str; 6] = ["algs", "lp", "dsa", "knapsack", "rectpack", "ufpp"];
-
-/// How many lines above a `.checkpoint(` the matching `.tick(` may sit
-/// (same line counts too; a guard like `if let Some(b) = budget` often
-/// separates them by a line or two).
-const T1_WINDOW: usize = 3;
-
 /// Identifier fragments that mark a memo-key value in the rectangle
 /// solver (a1): constraint sets, memo keys and floor constraints are
 /// hash-consed through the `ConstraintPool` arena, so cloning one in
@@ -51,9 +41,6 @@ pub fn lint_source(src: &SourceFile) -> Vec<Finding> {
     if src.rel_path.starts_with("crates/algs/src/") {
         findings.extend(lint_v1(src));
         findings.extend(lint_r1(src));
-    }
-    if in_crates_src(&src.rel_path, &T1_CRATES) {
-        findings.extend(lint_t1(src));
     }
     if src.rel_path.starts_with("crates/rectpack/src/") {
         findings.extend(lint_a1(src));
@@ -352,34 +339,6 @@ fn lint_r1(src: &SourceFile) -> Vec<Finding> {
                 "`resume_unwind` re-raises a captured panic in driver code; route the \
                  failure into the SolveReport (run_isolated / ArmOutcome::Panicked), or \
                  justify with lint:allow(r1)",
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- t1
-
-/// Every `Budget::checkpoint` call site in the solver crates must tick
-/// the telemetry phase meter — `.tick(...)` on the same line or at most
-/// [`T1_WINDOW`] lines above — so per-phase attribution stays in lockstep
-/// with the budget meter as checkpoints are added. The tick goes
-/// *before* the checkpoint: a tripping checkpoint's units are counted by
-/// the meter, so telemetry must have counted them too.
-fn lint_t1(src: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (idx, line) in src.lines.iter().enumerate() {
-        if line.in_test || !line.code.contains(".checkpoint(") {
-            continue;
-        }
-        let lo = idx.saturating_sub(T1_WINDOW);
-        let ticked =
-            (lo..=idx).any(|j| src.lines.get(j).is_some_and(|l| l.code.contains(".tick(")));
-        if !ticked {
-            push(src, &mut out, Lint::T1, idx, String::from(
-                "Budget::checkpoint without a telemetry tick; call `.tick(class, units)` \
-                 immediately before the checkpoint (same units, same class) so phase \
-                 attribution matches the meter, or justify with lint:allow(t1)",
             ));
         }
     }
@@ -689,33 +648,6 @@ mod tests {
         // out of scope.
         let core = parse("crates/core/src/parallel.rs", text);
         assert!(lint_source(&core).iter().all(|f| f.lint != Lint::R1));
-    }
-
-    #[test]
-    fn t1_requires_tick_near_checkpoint() {
-        let text = "fn f(b: &Budget) -> SapResult<()> {\n    b.checkpoint(CheckpointClass::DpRow, 1)?;\n    Ok(())\n}\nfn g(b: &Budget) -> SapResult<()> {\n    b.tick(CheckpointClass::DpRow, 1);\n    b.checkpoint(CheckpointClass::DpRow, 1)?;\n    Ok(())\n}\nfn h(b: &Budget) -> SapResult<()> {\n    // lint:allow(t1) — metering-only probe, deliberately unattributed\n    b.checkpoint(CheckpointClass::Driver, 1)?;\n    Ok(())\n}\n";
-        let f = lint_t1(&parse("crates/algs/src/x.rs", text));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("tick"));
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn t1_window_and_scope() {
-        // tick three lines above the checkpoint: still paired.
-        let near = "fn f(b: Option<&Budget>) -> SapResult<()> {\n    if let Some(b) = b {\n        b.tick(CheckpointClass::LpPivot, 1);\n        // a guard line\n        // another\n        b.checkpoint(CheckpointClass::LpPivot, 1)?;\n    }\n    Ok(())\n}\n";
-        assert!(lint_t1(&parse("crates/lp/src/x.rs", near)).is_empty());
-        // four lines above: out of the window.
-        let far = "fn f(b: &Budget) -> SapResult<()> {\n    b.tick(CheckpointClass::LpPivot, 1);\n    // 1\n    // 2\n    // 3\n    b.checkpoint(CheckpointClass::LpPivot, 1)?;\n    Ok(())\n}\n";
-        assert_eq!(lint_t1(&parse("crates/lp/src/x.rs", far)).len(), 1);
-        // sap-core (budget/telemetry implementation) is out of scope.
-        let core = "fn f(b: &Budget) -> SapResult<()> {\n    b.checkpoint(CheckpointClass::Driver, 1)?;\n    Ok(())\n}\n";
-        assert!(lint_source(&parse("crates/core/src/budget.rs", core))
-            .iter()
-            .all(|f| f.lint != Lint::T1));
-        // test modules are exempt.
-        let test_mod = "#[cfg(test)]\nmod tests {\n    fn t(b: &Budget) { b.checkpoint(CheckpointClass::Driver, 1).ok(); }\n}\n";
-        assert!(lint_t1(&parse("crates/algs/src/x.rs", test_mod)).is_empty());
     }
 
     #[test]

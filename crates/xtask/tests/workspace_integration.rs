@@ -35,8 +35,8 @@ fn bad_fixture_workspace_fails_with_every_lint() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     for tag in [
-        "[h1]", "[p1]", "[f1]", "[v1]", "[d1]", "[t1]", "[a1]", "[allow]", "[n1]",
-        "[o1]", "[v2]", "[b1]", "[t2]",
+        "[h1]", "[p1]", "[f1]", "[v1]", "[d1]", "[a1]", "[allow]", "[n1]", "[o1]",
+        "[v2]", "[b1]", "[t2]",
     ] {
         assert!(stdout.contains(tag), "missing {tag} in:\n{stdout}");
     }

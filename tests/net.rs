@@ -145,7 +145,13 @@ fn three_concurrent_connections_match_batch_mode_at_w1_and_w8() {
             assert_eq!(g, e, "workers={workers} conn {i} diverged from batch mode");
         }
         let stderr = finish_server(server);
-        assert!(stderr.contains("net: 3 conns"), "{stderr}");
+        // Every line is answered: 9 in, 9 out, only the malformed one an error.
+        assert!(
+            stderr.contains(
+                "net: 3 conns, 9 lines in / 9 responses out (8 ok, 1 err, 0 shed, 0 oversized)"
+            ),
+            "{stderr}"
+        );
     }
 }
 

@@ -64,16 +64,20 @@ fn output_is_byte_identical_across_worker_widths() {
 #[test]
 fn output_is_byte_identical_cold_vs_warm() {
     let batch = mixed_batch();
-    let batches = vec![batch.clone(), batch];
-    let (out, engine) = run_engine(ServeOptions::default(), &batches);
-    let (cold, warm) = out.split_at(out.len() / 2);
-    assert_eq!(cold, warm, "warm-cache replay changed the bytes");
+    let (cold, mut engine) = run_engine(ServeOptions::default(), &[batch.clone()]);
     // Batch 1: the respelled duplicate and the second inst_b ride as
-    // followers (2 hits); batch 2: every request that solved ok hits
-    // (5 hits). Error responses are never cached, so the invalid
-    // instance re-misses on replay: 4 cold misses + 1 warm re-miss.
+    // followers (2 hits); the other 4 decodable requests miss.
+    assert_eq!((engine.stats.cache_hits, engine.stats.cache_misses), (2, 4));
+    let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+    let warm = engine.process_batch(&refs);
+    assert_eq!(cold, warm, "warm-cache replay changed the bytes");
+    // Batch 2: every request that solved ok hits (5 hits). Error
+    // responses are never cached, so the invalid instance re-misses on
+    // replay: 4 cold misses + 1 warm re-miss.
     assert_eq!(engine.stats.cache_hits, 7);
     assert_eq!(engine.stats.cache_misses, 5);
+    // The default cache holds the whole workload.
+    assert_eq!(engine.stats.cache_evictions, 0);
 }
 
 #[test]
